@@ -19,14 +19,12 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/event_queue.h"
 #include "core/batch_builder.h"
 #include "core/device_config.h"
 #include "core/executor.h"
-#include "core/parallel.h"
 #include "dram/controller.h"
 #include "model/llm_config.h"
 #include "npu/systolic_array.h"
@@ -303,49 +301,6 @@ BENCHMARK(BM_Fig12GridSweep)
     ->Unit(benchmark::kSecond)
     ->Iterations(1);
 
-/**
- * Thread-parallel channel stepping (DESIGN.md §12): the same
- * 8-channel sweep cells at 1, 2 and 4 worker lanes, symmetry OFF so
- * all eight controllers simulate individually and their lockstep
- * kick/resume events form the same-cycle batches the pool consumes.
- * Bit-identity of the variants is covered by
- * tests/core/test_parallel.cc; this tracks the wall-clock side — the
- * CI smoke asserts >= 1.5x at 4 lanes on multi-core runners. The name
- * deliberately avoids the Grid/RunIteration tags so the sweep lands
- * in the committed BENCH_engine.json. Single-core hosts (see the
- * threads_label context entry) run every lane count as a serial
- * baseline: the pool yields instead of spinning, and no speedup is
- * expected or asserted.
- */
-void
-BM_ParallelSweep(benchmark::State &state)
-{
-    const int threads = static_cast<int>(state.range(0));
-    auto llm = model::gpt3_7b();
-    auto dev = core::DeviceConfig::neuPims();
-    dev.org.channels = 8;
-    dev.flags.channelSymmetry = false;
-    dev.simThreads = threads;
-
-    Cycle sink = 0;
-    for (auto _ : state) {
-        for (int batch : {32, 64}) {
-            for (int context : {256, 512})
-                sink += runCell(dev, llm, batch, context)
-                            .iterationCycles;
-        }
-        benchmark::DoNotOptimize(sink);
-    }
-    state.SetItemsProcessed(state.iterations() * 4);
-}
-BENCHMARK(BM_ParallelSweep)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->ArgNames({"threads"})
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 } // namespace
 
 int
@@ -371,11 +326,6 @@ main(int argc, char **argv)
     benchmark::Initialize(&argc2, argv2.data());
     if (benchmark::ReportUnrecognizedArguments(argc2, argv2.data()))
         return 1;
-    // Execution-lane context: what NEUPIMS_SIM_THREADS resolves to for
-    // runs that don't pin simThreads, and whether this host can show a
-    // parallel speedup at all. num_cpus <= 1 marks the whole artifact
-    // as a serial baseline — thread-count comparisons from such a run
-    // measure scheduler contention, not the pool.
     // Build type of *this* binary (library_build_type reports the
     // system benchmark library's, which stays "debug" regardless):
     // CI's staleness check requires a committed artifact built with
@@ -385,12 +335,6 @@ main(int argc, char **argv)
 #else
     benchmark::AddCustomContext("build_type", "debug");
 #endif
-    benchmark::AddCustomContext(
-        "sim_threads", std::to_string(core::resolveSimThreads(0)));
-    benchmark::AddCustomContext(
-        "threads_label", std::thread::hardware_concurrency() <= 1
-                             ? "serial-baseline"
-                             : "parallel-capable");
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     return 0;

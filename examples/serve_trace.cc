@@ -30,7 +30,7 @@
  *                 [--shed-watermark F] [--shed-wait-ms F]
  *                 [--prefix-share] [--hot-fraction F]
  *                 [--sys-tokens N] [--turns F] [--think-ms F]
- *                 [--threads N] [--hybrid N] [--hybrid-anchors FILE]
+ *                 [--hybrid N] [--hybrid-anchors FILE]
  *
  * --trace replays an external CSV (arrival_us,input,output rows) in
  * place of the synthetic fixed-rate replay trace. --measured swaps
@@ -94,17 +94,13 @@
  * with sharing enabled print a prefix summary line (hit rate, tokens/
  * pages deduplicated, COW copies) under the config row.
  *
- * --threads N runs every cycle-accurate engine window on N simulator
- * worker lanes (same-cycle controller events of different channels
- * step in parallel; bit-identical to serial, DESIGN.md §12 — all
- * checksums above are unchanged). --hybrid N swaps in the
- * hybrid-fidelity model: the engine executes every Nth iteration plus
- * forced samples on composition changes, everything between is
- * analytically fast-forwarded at the last measured/analytic ratio; a
- * sampling summary line prints under each config row.
- * --hybrid-anchors FILE preloads the persisted measured/analytic
- * anchor sidecar (written by bench/fig_serving_latency next to
- * BENCH_serving.json, and re-saved here after the run) so the
+ * --hybrid N swaps in the hybrid-fidelity model: the engine executes
+ * every Nth iteration plus forced samples on composition changes,
+ * everything between is analytically fast-forwarded at the last
+ * measured/analytic ratio; a sampling summary line prints under each
+ * config row. --hybrid-anchors FILE preloads the persisted
+ * measured/analytic anchor sidecar (written by bench/fig_serving_latency
+ * next to BENCH_serving.json, and re-saved here after the run) so the
  * fast-forward starts calibrated instead of at ratio 1.0.
  */
 
@@ -163,9 +159,6 @@ struct Options
     bool measured = false;
     bool calibrate = false;
     bool dumpTrace = false;
-    /** Simulator worker lanes (DeviceConfig::simThreads); 0 defers to
-     * NEUPIMS_SIM_THREADS and then to serial. Bit-identical. */
-    int threads = 0;
     /** Hybrid fidelity: engine-sample every Nth iteration (0 = off). */
     int hybrid = 0;
     /** Anchor sidecar preloaded into and saved from the hybrid model. */
@@ -231,8 +224,7 @@ usage(const char *argv0)
         "          [--prefix-share] [--hot-fraction F] "
         "[--sys-tokens N]\n"
         "          [--turns F] [--think-ms F]\n"
-        "          [--threads N] [--hybrid N] "
-        "[--hybrid-anchors FILE]\n",
+        "          [--hybrid N] [--hybrid-anchors FILE]\n",
         argv0);
 }
 
@@ -317,8 +309,6 @@ main(int argc, char **argv)
             opt.thinkMs = std::atof(value());
         else if (arg == "--max-len")
             opt.maxLen = std::atoi(value());
-        else if (arg == "--threads")
-            opt.threads = std::atoi(value());
         else if (arg == "--hybrid")
             opt.hybrid = std::atoi(value());
         else if (arg == "--hybrid-anchors")
@@ -350,10 +340,8 @@ main(int argc, char **argv)
         backends = core::standardServingBackends();
     else
         backends.push_back(core::servingBackendByName(opt.backend));
-    for (auto &b : backends) {
+    for (auto &b : backends)
         core::applyMemSched(b.device, opt.memSched);
-        b.device.simThreads = opt.threads;
-    }
 
     std::vector<std::string> traffics;
     if (opt.traffic == "all")

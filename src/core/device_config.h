@@ -107,15 +107,11 @@ struct DeviceConfig
     dram::MemSchedConfig memSched;
 
     /**
-     * Simulator execution lanes (not a hardware feature, like
-     * channelSymmetry): >1 installs a worker pool on the event queue
-     * so same-cycle controller events of different channels step in
-     * parallel. Bit-identical to serial by construction (DESIGN.md
-     * §12; the differential test locks it). 0 defers to the
-     * NEUPIMS_SIM_THREADS environment variable and then to 1 —
-     * that hook is how the sanitizer CI drives the whole test suite
-     * through the threaded path. Deliberately excluded from
-     * calibration anchor keys: it cannot change results.
+     * Inert: must be 0 or 1 (DeviceExecutor asserts it). Threaded
+     * channel stepping was removed because it ran slower than serial
+     * (DESIGN.md §12.1); the field remains only because the perfbench
+     * driver still assigns it, and is deleted once that driver drops
+     * its two `simThreads = 1` assignments.
      */
     int simThreads = 0;
 

@@ -741,6 +741,10 @@ DeviceExecutor::DeviceExecutor(const DeviceConfig &cfg,
                                 cfg.org.pageBytes, cfg.org.burstBytes})
 {
     NEUPIMS_ASSERT(layersPerDevice_ >= 1);
+    NEUPIMS_ASSERT(cfg_.simThreads == 0 || cfg_.simThreads == 1,
+                   "simThreads=", cfg_.simThreads,
+                   ": threaded channel stepping was removed; the "
+                   "simulator steps channels serially");
 }
 
 IterationResult
@@ -765,14 +769,6 @@ DeviceExecutor::runIteration(const BatchComposition &batch,
                    layersPerDevice_, " < ", window_layers);
 
     eq_ = std::make_unique<EventQueue>();
-    int threads = resolveSimThreads(cfg_.simThreads);
-    if (threads > 1) {
-        // The pool persists across runIteration calls; the queue is
-        // rebuilt each run, so re-install the runner every time.
-        if (!pool_ || pool_->threads() != threads)
-            pool_ = std::make_unique<WorkerPool>(threads);
-        eq_->setShardRunner(pool_.get());
-    }
     auto groups =
         cfg_.flags.channelSymmetry
             ? computeSymmetryGroups(cfg_.org.channels, batch)

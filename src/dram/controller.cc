@@ -81,44 +81,25 @@ MemoryController::kick()
         return;
     kickScheduled_ = true;
     nextKickAt_ = now;
-    eq_.scheduleSharded(now, this);
+    eq_.schedule(now, [this] { wake(); });
 }
 
 void
-MemoryController::prepare()
+MemoryController::wake()
 {
-    // Mirrors the former kick-event lambda: clear the pending-kick
-    // marker, then run the arbitration loop. deferred_ routes every
-    // external effect into the segment commit() replays.
     kickScheduled_ = false;
     nextKickAt_ = kCycleMax;
-    pendingResume_ = kCycleMax;
-    deferred_ = true;
-    process();
-    deferred_ = false;
-    deferredSegs_.push_back({deferredCalls_.size(), pendingResume_});
-}
-
-void
-MemoryController::commit()
-{
-    NEUPIMS_ASSERT(segCursor_ < deferredSegs_.size(),
-                   "commit without a matching prepare");
-    const DeferredSeg seg = deferredSegs_[segCursor_++];
-    while (callCursor_ < seg.callsEnd) {
-        DeferredCall &c = deferredCalls_[callCursor_++];
+    Cycle resume = process();
+    // Callbacks may enqueue onto this controller; that only kicks
+    // (schedules) another pass and never re-enters process(), so
+    // completions_ is stable while it is walked.
+    for (Completion &c : completions_)
         c.fn(c.at);
-    }
-    // The resume is scheduled after the callbacks, exactly where the
-    // serial control flow placed its eq_.schedule call.
-    if (seg.resume != kCycleMax)
-        eq_.scheduleSharded(seg.resume, this);
-    if (segCursor_ == deferredSegs_.size()) {
-        deferredSegs_.clear();
-        deferredCalls_.clear();
-        segCursor_ = 0;
-        callCursor_ = 0;
-    }
+    completions_.clear();
+    // The resume goes in after the callbacks, so an event a callback
+    // schedules at the resume cycle keeps the lower sequence number.
+    if (resume != kCycleMax)
+        eq_.schedule(resume, [this] { wake(); });
 }
 
 void
@@ -315,16 +296,11 @@ MemoryController::finishMem(MemExec &exec)
     // Callback contract: invoked as soon as the completion cycle is
     // *known* (commands are committed ahead of simulated time up to
     // the horizon); the Cycle argument is the authoritative completion
-    // time and callers schedule their continuations at it. Under
-    // sharded dispatch the invocation is deferred to commit(), which
-    // replays callbacks in the order they were produced here.
-    if (exec.job.onComplete) {
-        if (deferred_)
-            deferredCalls_.push_back(
-                {std::move(exec.job.onComplete), exec.lastBurstEnd});
-        else
-            exec.job.onComplete(exec.lastBurstEnd);
-    }
+    // time and callers schedule their continuations at it. wake()
+    // fires it after the arbitration pass, in production order.
+    if (exec.job.onComplete)
+        completions_.push_back(
+            {std::move(exec.job.onComplete), exec.lastBurstEnd});
 }
 
 void
@@ -477,13 +453,9 @@ MemoryController::finishPim(Cycle done)
     ++completedPimJobs_;
     auto job = std::move(pim_->job);
     pim_.reset();
-    // Same synchronous-callback contract as finishMem.
-    if (job.onComplete) {
-        if (deferred_)
-            deferredCalls_.push_back({std::move(job.onComplete), done});
-        else
-            job.onComplete(done);
-    }
+    // Same callback contract as finishMem.
+    if (job.onComplete)
+        completions_.push_back({std::move(job.onComplete), done});
 }
 
 bool
@@ -502,7 +474,7 @@ MemoryController::maybeRefresh(Cycle when)
     return true;
 }
 
-void
+Cycle
 MemoryController::process()
 {
     while (true) {
@@ -513,7 +485,7 @@ MemoryController::process()
         Cycle cm = candidateMem(mem_idx);
         Cycle cp = candidatePim();
         if (cm == kCycleMax && cp == kCycleMax)
-            return; // idle: nothing queued or in flight
+            return kCycleMax; // idle: nothing queued or in flight
 
         ArbView v;
         v.cm = cm;
@@ -551,17 +523,11 @@ MemoryController::process()
         if (cand > eq_.now() + cfg_.horizon) {
             // Do not reserve bus slots far beyond simulated time: a
             // job arriving meanwhile deserves its priority. Resume
-            // when the candidate enters the horizon.
-            Cycle resume = cand - cfg_.horizon;
-            if (!kickScheduled_ || nextKickAt_ > resume) {
-                kickScheduled_ = true;
-                nextKickAt_ = resume;
-                if (deferred_)
-                    pendingResume_ = resume;
-                else
-                    eq_.scheduleSharded(resume, this);
-            }
-            return;
+            // when the candidate enters the horizon. wake() cleared
+            // the kick marker and nothing re-arms it mid-pass.
+            kickScheduled_ = true;
+            nextKickAt_ = cand - cfg_.horizon;
+            return nextKickAt_;
         }
 
         sched_->recordIssue(v, pick_pim);

@@ -119,30 +119,23 @@ struct ControllerConfig
 };
 
 /**
- * The controller is a ShardedEvent: its kick/resume events carry a
- * shard tag so the event queue can batch same-cycle events of
- * *different* controllers onto the worker pool. prepare() runs the
- * arbitration loop touching only this channel's state (plus the
- * stable queue clock); every externally visible effect — job
- * completion callbacks and the horizon-resume schedule() — is
- * buffered and replayed by commit() in original sequence order, which
- * is what makes threaded stepping bit-identical to serial
- * (DESIGN.md §12).
+ * The controller wakes through one event callback (wake()): one
+ * arbitration pass, then the job completions that pass produced, in
+ * production order, then the horizon resume. Completions never run
+ * inside the pass, so a follow-up job a callback enqueues waits for
+ * the next pass instead of joining the current one.
  */
-class MemoryController : public ShardedEvent
+class MemoryController
 {
   public:
     MemoryController(EventQueue &eq, const TimingParams &timing,
                      const Organization &org, ControllerConfig cfg);
 
+    MemoryController(const MemoryController &) = delete;
+    MemoryController &operator=(const MemoryController &) = delete;
+
     void enqueueMem(MemJob job);
     void enqueuePim(PimJob job);
-
-    // --- ShardedEvent ---------------------------------------------------
-    /** Run the arbitration loop, deferring external effects. */
-    void prepare() override;
-    /** Replay deferred completion callbacks and the resume schedule. */
-    void commit() override;
 
     Channel &channel() { return channel_; }
     const Channel &channel() const { return channel_; }
@@ -222,7 +215,13 @@ class MemoryController : public ShardedEvent
     };
 
     void kick();
-    void process();
+    /** Event body: run process(), fire its completions, then resume. */
+    void wake();
+    /**
+     * The arbitration loop. Completions are buffered in completions_.
+     * @return the horizon resume cycle to schedule, or kCycleMax.
+     */
+    Cycle process();
 
     /** Earliest cycle the front-most mem work could issue; kCycleMax
      * if none. Also selects which in-flight job that is. */
@@ -266,28 +265,13 @@ class MemoryController : public ShardedEvent
     bool kickScheduled_ = false;
     Cycle nextKickAt_ = kCycleMax;
 
-    /**
-     * Deferred external effects of one prepare() pass. A controller
-     * can be dispatched twice in one batch (stale kick + resume at
-     * the same cycle), so segments carry watermarks: each commit()
-     * replays exactly its own prepare()'s callbacks and resume.
-     */
-    struct DeferredCall
+    /** A job completion produced by process(), fired by wake(). */
+    struct Completion
     {
         std::function<void(Cycle)> fn;
         Cycle at;
     };
-    struct DeferredSeg
-    {
-        std::size_t callsEnd;  ///< watermark into deferredCalls_
-        Cycle resume;          ///< kCycleMax: no resume to schedule
-    };
-    bool deferred_ = false;        ///< inside prepare(): buffer effects
-    Cycle pendingResume_ = kCycleMax;
-    std::vector<DeferredCall> deferredCalls_;
-    std::vector<DeferredSeg> deferredSegs_;
-    std::size_t callCursor_ = 0;
-    std::size_t segCursor_ = 0;
+    std::vector<Completion> completions_;
 
     std::unique_ptr<MemSchedPolicy> sched_;
     std::vector<Cycle> memBankBusyCycles_;

@@ -209,5 +209,14 @@ TEST(ExecutorDeathTest, BadWindowPanics)
     EXPECT_DEATH((void)exec.runIteration(batch, 1, 1), "assertion");
 }
 
+TEST(ExecutorDeathTest, SimThreadsAboveOnePanics)
+{
+    auto llm = tinyModel();
+    auto dev = DeviceConfig::neuPims();
+    dev.simThreads = 4;
+    EXPECT_DEATH(DeviceExecutor(dev, llm, 1, llm.numLayers),
+                 "threaded channel stepping was removed");
+}
+
 } // namespace
 } // namespace neupims::core

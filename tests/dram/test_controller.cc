@@ -446,5 +446,75 @@ TEST_F(ControllerTest, IdleReportsPendingWork)
     EXPECT_TRUE(mc->idle());
 }
 
+TEST_F(ControllerTest, CompletionsFireAfterThePassThenResume)
+{
+    // One arbitration pass at cycle 0 finishes A (bank 0), A2 (bank 1)
+    // and Y1, then stops at the horizon: Y2 must wait out bank 0's
+    // tRAS before its precharge. A's callback enqueues a follow-up B.
+    const Cycle horizon = 64;
+    auto mc = make(true, horizon);
+    auto act_count = [&] {
+        return mc->channel().commandCounts().count(CommandType::Act);
+    };
+
+    std::vector<Cycle> done; // completion cycles, in firing order
+    std::vector<Cycle> fired_at; // eq.now() when each callback ran
+    std::size_t queued_after_callbacks = 0;
+    std::uint64_t acts_in_callback = 0;
+    std::uint64_t acts_at_probe = 0;
+    std::size_t queued_since_callbacks = 0;
+    bool follow_up_done = false;
+
+    auto add = [&](BankId bank, int row, bool follow_up) {
+        MemJob job;
+        job.bank = bank;
+        job.row = row;
+        job.bursts = 1;
+        job.onComplete = [&, follow_up](Cycle c) {
+            done.push_back(c);
+            fired_at.push_back(eq.now());
+            if (follow_up) {
+                acts_in_callback = act_count();
+                // Scheduled before B's kick, so it runs between this
+                // pass and the pass that picks B up.
+                eq.schedule(eq.now(), [&] {
+                    acts_at_probe = act_count();
+                    queued_since_callbacks =
+                        eq.size() - queued_after_callbacks;
+                });
+                MemJob b;
+                b.bank = 2;
+                b.row = 0;
+                b.bursts = 1;
+                b.onComplete = [&](Cycle) { follow_up_done = true; };
+                mc->enqueueMem(std::move(b));
+            }
+            queued_after_callbacks = eq.size();
+        };
+        mc->enqueueMem(std::move(job));
+    };
+    add(0, 0, /*follow_up=*/true); // A
+    add(1, 0, false);              // A2
+    for (int row = 1; row <= 4; ++row)
+        add(0, row, false);        // Y1..Y4: row conflicts on bank 0
+    eq.run();
+
+    ASSERT_TRUE(mc->idle());
+    ASSERT_EQ(done.size(), 6u);
+    EXPECT_TRUE(follow_up_done);
+    // A, A2 and Y1 complete in the first pass, at cycle 0.
+    EXPECT_EQ(fired_at[0], 0u);
+    EXPECT_EQ(fired_at[2], 0u);
+    // Production order: each later burst lands later on the data bus.
+    for (std::size_t i = 1; i < done.size(); ++i)
+        EXPECT_LT(done[i - 1], done[i]) << "completion " << i;
+    // B was not issued in the pass whose completion enqueued it: no
+    // activation between A's callback and the probe after the pass.
+    EXPECT_EQ(acts_at_probe, acts_in_callback);
+    // Exactly one event, the horizon resume, was scheduled after the
+    // pass's last callback returned and before the probe ran.
+    EXPECT_EQ(queued_since_callbacks, 1u);
+}
+
 } // namespace
 } // namespace neupims::dram
