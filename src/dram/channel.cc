@@ -14,7 +14,7 @@ Channel::Channel(const TimingParams &timing, const Organization &org,
 {}
 
 Cycle
-Channel::earliestCa(Cycle not_before, Cycle) const
+Channel::earliestCa(Cycle not_before) const
 {
     return std::max(not_before, caNextFree_);
 }
@@ -64,7 +64,7 @@ Channel::earliestActivate(BankId bank, BufferSide side,
 }
 
 Cycle
-Channel::earliestColumn(BankId bank, BufferSide side, bool,
+Channel::earliestColumn(BankId bank, BufferSide side,
                         Cycle not_before) const
 {
     Cycle when = banks_.earliestColumn(bank, side);
@@ -92,7 +92,7 @@ std::pair<Cycle, Cycle>
 Channel::issueRead(BankId bank, BufferSide side, Cycle not_before)
 {
     const auto &t = *timing_;
-    Cycle when = earliestColumn(bank, side, false, not_before);
+    Cycle when = earliestColumn(bank, side, not_before);
     // The data burst lands tCL after the column command and must find
     // the data bus free; push the issue cycle until it does.
     Cycle burst_start = std::max(when + t.tCL, dataNextFree_);
@@ -111,7 +111,7 @@ std::pair<Cycle, Cycle>
 Channel::issueWrite(BankId bank, BufferSide side, Cycle not_before)
 {
     const auto &t = *timing_;
-    Cycle when = earliestColumn(bank, side, true, not_before);
+    Cycle when = earliestColumn(bank, side, not_before);
     Cycle burst_start = std::max(when + t.tCWL, dataNextFree_);
     when = burst_start - t.tCWL;
     banks_.write(bank, side, when);

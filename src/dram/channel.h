@@ -48,8 +48,11 @@ class Channel
     // Earliest-issue queries (no side effects).
     // ------------------------------------------------------------------
 
-    /** Earliest cycle the C/A bus can carry a command of width @p w. */
-    Cycle earliestCa(Cycle not_before, Cycle w) const;
+    /** Earliest cycle the C/A bus can carry a command. */
+    Cycle earliestCa(Cycle not_before) const;
+
+    /** Cycle the C/A bus frees up; it only ever moves forward. */
+    Cycle caNextFree() const { return caNextFree_; }
 
     /**
      * Earliest legal ACTIVATE to @p bank on @p side at or after
@@ -60,7 +63,7 @@ class Channel
                            Cycle not_before) const;
 
     /** Earliest legal column command (RD/WR) to @p bank on @p side. */
-    Cycle earliestColumn(BankId bank, BufferSide side, bool is_write,
+    Cycle earliestColumn(BankId bank, BufferSide side,
                          Cycle not_before) const;
 
     // ------------------------------------------------------------------

@@ -76,6 +76,8 @@ MemoryController::pendingPimJobs() const
 void
 MemoryController::kick()
 {
+    // A new job can beat the stopped pass's candidates.
+    stop_.valid = false;
     Cycle now = eq_.now();
     if (kickScheduled_ && nextKickAt_ <= now)
         return;
@@ -87,6 +89,7 @@ MemoryController::kick()
 void
 MemoryController::wake()
 {
+    ++wakeups_;
     kickScheduled_ = false;
     nextKickAt_ = kCycleMax;
     Cycle resume = process();
@@ -121,6 +124,7 @@ MemoryController::refillMemWindow()
         memQueue_.pop_front();
         exec.enqueued = eq_.now();
         exec.seq = memSeq_++;
+        updateLocal(exec);
         banksBusyMask_ |= 1ULL << bank;
         memInFlight_.push_back(std::move(exec));
     }
@@ -155,29 +159,12 @@ MemoryController::candidateMem(int &which) const
     which = -1;
     if (cfg_.blockedMode && pim_)
         return kCycleMax;
+    Cycle lb = std::max(eq_.now(), channel_.caNextFree());
     Cycle best = kCycleMax;
     std::uint64_t bestSeq = 0;
     for (int i = 0; i < static_cast<int>(memInFlight_.size()); ++i) {
         const auto &m = memInFlight_[i];
-        ConstBankRef bank = channel_.bank(m.job.bank);
-        Cycle lb = std::max(m.enqueued, eq_.now());
-        Cycle c;
-        if (m.phase == MemExec::Phase::PreOrAct) {
-            int open = bank.openRow(BufferSide::Mem);
-            if (open == m.job.row) {
-                c = channel_.earliestColumn(m.job.bank, BufferSide::Mem,
-                                            m.job.write, lb);
-            } else if (open != -1) {
-                c = std::max(lb, bank.earliestPrecharge(BufferSide::Mem));
-                c = channel_.earliestCa(c, 1);
-            } else {
-                c = channel_.earliestActivate(m.job.bank, BufferSide::Mem,
-                                              lb);
-            }
-        } else {
-            c = channel_.earliestColumn(m.job.bank, BufferSide::Mem,
-                                        m.job.write, lb);
-        }
+        Cycle c = std::max(lb, m.local);
         // Tie-break equal candidate cycles oldest-first: this matches
         // the former lowest-index rule (the in-flight vector used to
         // stay in admission order) while allowing swap-and-pop.
@@ -190,6 +177,34 @@ MemoryController::candidateMem(int &which) const
     return best;
 }
 
+void
+MemoryController::updateLocal(MemExec &m) const
+{
+    // Every earliest-issue query is a max over its constraints, so the
+    // job's candidate splits into max(now, caNextFree, local), with
+    // enqueued folded into local. The queries also fold in the C/A
+    // bus as it is now; the bus only moves forward, so the candidate's
+    // max with the current caNextFree() absorbs that stale term.
+    BankId b = m.job.bank;
+    ConstBankRef bank = channel_.bank(b);
+    int open = bank.openRow(BufferSide::Mem);
+    if (m.phase == MemExec::Phase::Bursts || open == m.job.row) {
+        m.local = channel_.earliestColumn(b, BufferSide::Mem, m.enqueued);
+    } else if (open != -1) {
+        m.local = channel_.earliestCa(
+            std::max(m.enqueued, bank.earliestPrecharge(BufferSide::Mem)));
+    } else {
+        m.local = channel_.earliestActivate(b, BufferSide::Mem, m.enqueued);
+    }
+}
+
+void
+MemoryController::updateAllLocals()
+{
+    for (auto &m : memInFlight_)
+        updateLocal(m);
+}
+
 Cycle
 MemoryController::candidatePim() const
 {
@@ -200,10 +215,9 @@ MemoryController::candidatePim() const
     Cycle lb = eq_.now();
     switch (p.phase) {
       case PimExec::Phase::Header:
-        return channel_.earliestCa(lb, t.caPimCmd);
+        return channel_.earliestCa(lb);
       case PimExec::Phase::Gwrite:
-        return channel_.earliestCa(std::max(lb, p.gwriteReady),
-                                   t.caPimCmd);
+        return channel_.earliestCa(std::max(lb, p.gwriteReady));
       case PimExec::Phase::Group: {
         // The operand vector must be staged before any dot-products.
         Cycle ready = std::max(lb, p.gwriteReady);
@@ -223,16 +237,14 @@ MemoryController::candidatePim() const
       }
       case PimExec::Phase::DotProduct:
         return channel_.earliestCa(
-            std::max(lb, p.groupRowReady[p.dotProductsDone / 4]),
-            t.caPimCmd);
+            std::max(lb, p.groupRowReady[p.dotProductsDone / 4]));
       case PimExec::Phase::RoundResult:
-        return channel_.earliestCa(std::max(lb, p.roundComputeEnd),
-                                   t.caPimCmd);
+        return channel_.earliestCa(std::max(lb, p.roundComputeEnd));
       case PimExec::Phase::FinalResult:
         return std::max(lb, p.kernelComputeEnd);
       case PimExec::Phase::Precharge:
         return channel_.earliestCa(
-            std::max({lb, p.kernelComputeEnd, p.resultEnd}), t.caPimCmd);
+            std::max({lb, p.kernelComputeEnd, p.resultEnd}));
       case PimExec::Phase::Done:
         return kCycleMax;
     }
@@ -259,11 +271,21 @@ MemoryController::stepMem(int which)
             m.phase = MemExec::Phase::Bursts; // row hit, fall through
         } else if (open != -1) {
             channel_.issuePrecharge(m.job.bank, BufferSide::Mem, lb);
+            updateLocal(m);
             return;
         } else {
             channel_.issueActivate(m.job.bank, BufferSide::Mem,
                                    m.job.row, lb);
             m.phase = MemExec::Phase::Bursts;
+            updateLocal(m);
+            // The ACT moved the tFAW/tRRD window, which bounds every
+            // closed-bank candidate (and only those).
+            for (auto &o : memInFlight_) {
+                if (o.phase == MemExec::Phase::PreOrAct &&
+                    channel_.bank(o.job.bank).openRow(BufferSide::Mem) ==
+                        -1)
+                    updateLocal(o);
+            }
             return;
         }
     }
@@ -283,6 +305,8 @@ MemoryController::stepMem(int which)
         if (which != static_cast<int>(memInFlight_.size()) - 1)
             memInFlight_[which] = std::move(memInFlight_.back());
         memInFlight_.pop_back();
+    } else {
+        updateLocal(m);
     }
 }
 
@@ -477,13 +501,30 @@ MemoryController::maybeRefresh(Cycle when)
 Cycle
 MemoryController::process()
 {
+    // Between a horizon stop and its resume nothing this controller
+    // owns changes (an enqueue drops stop_), and every candidate is a
+    // max over `now` and now-independent terms. So while the stopped
+    // candidates are not behind now, they are exactly what a rescan
+    // would return. A policy that chose the later class can leave the
+    // other one behind; that resume rescans.
+    bool reuse = stop_.valid && std::min(stop_.cm, stop_.cp) >= eq_.now();
+    stop_.valid = false;
     while (true) {
-        refillMemWindow();
-        startNextPimKernel();
-
         int mem_idx = -1;
-        Cycle cm = candidateMem(mem_idx);
-        Cycle cp = candidatePim();
+        Cycle cm = kCycleMax;
+        Cycle cp = kCycleMax;
+        if (reuse) {
+            reuse = false;
+            cm = stop_.cm;
+            cp = stop_.cp;
+            mem_idx = stop_.memIdx;
+        } else {
+            refillMemWindow();
+            startNextPimKernel();
+            ++candidateScans_;
+            cm = candidateMem(mem_idx);
+            cp = candidatePim();
+        }
         if (cm == kCycleMax && cp == kCycleMax)
             return kCycleMax; // idle: nothing queued or in flight
 
@@ -517,8 +558,10 @@ MemoryController::process()
             pick_pim = sched_->choosePim(v);
 
         Cycle cand = pick_pim ? cp : cm;
-        if (maybeRefresh(cand))
-            continue; // constraints changed; recompute candidates
+        if (maybeRefresh(cand)) {
+            updateAllLocals(); // REF closed every bank
+            continue;          // constraints changed; recompute
+        }
 
         if (cand > eq_.now() + cfg_.horizon) {
             // Do not reserve bus slots far beyond simulated time: a
@@ -527,14 +570,17 @@ MemoryController::process()
             // the kick marker and nothing re-arms it mid-pass.
             kickScheduled_ = true;
             nextKickAt_ = cand - cfg_.horizon;
+            stop_ = {true, cm, cp, mem_idx};
             return nextKickAt_;
         }
 
         sched_->recordIssue(v, pick_pim);
-        if (pick_pim)
+        if (pick_pim) {
             stepPim();
-        else
+            updateAllLocals(); // PIM ACT/PRE touch bank and ACT state
+        } else {
             stepMem(mem_idx);
+        }
     }
 }
 

@@ -23,6 +23,11 @@
  * of simulated time, so a PIM kernel arriving mid-phase observes at
  * most `horizon` cycles of priority staleness.
  *
+ * Arbitration is incremental (DESIGN.md §3): each in-flight MEM job
+ * caches its bank-local earliest issue cycle, and a pass that stops
+ * at the horizon keeps its candidates for the resume wake, so the
+ * controller runs about one candidate scan per issued command.
+ *
  * Committed-schedule lifetime: a schedule (and its horizon-ahead
  * commitments) lives exactly as long as the controller object. The
  * executor rebuilds every controller per runIteration() call, and the
@@ -159,6 +164,13 @@ class MemoryController
     const MemSchedPolicy &memSched() const { return *sched_; }
     const MemSchedStats &memSchedStats() const { return sched_->stats(); }
 
+    // --- host work counters (not simulated state) ----------------------
+    /** wake() calls: kicks plus horizon resumes. */
+    std::uint64_t wakeups() const { return wakeups_; }
+    /** Full candidate scans; a resume that reuses its stop pass's
+     * candidates does not scan. */
+    std::uint64_t candidateScans() const { return candidateScans_; }
+
     /** Per-bank MEM-side data-bus busy cycles (64 B beats served). */
     const std::vector<Cycle> &
     memBankBusyCycles() const
@@ -181,6 +193,12 @@ class MemoryController
         std::uint64_t seq = 0;
         /** Row-buffer outcome recorded (first stepMem only). */
         bool classified = false;
+        /**
+         * Bank-local earliest cycle of the next sub-command: the
+         * candidate is max(now, caNextFree, local). Kept current by
+         * updateLocal() (see DESIGN.md §3 for when it is recomputed).
+         */
+        Cycle local = 0;
     };
 
     /** In-flight state machine for one PimJob. */
@@ -226,6 +244,10 @@ class MemoryController
     /** Earliest cycle the front-most mem work could issue; kCycleMax
      * if none. Also selects which in-flight job that is. */
     Cycle candidateMem(int &which) const;
+    /** Recompute @p m's bank-local earliest cycle from channel state. */
+    void updateLocal(MemExec &m) const;
+    /** Recompute every in-flight job's bank-local earliest cycle. */
+    void updateAllLocals();
     /** Earliest cycle the active PIM kernel's next command could
      * issue; kCycleMax if none. */
     Cycle candidatePim() const;
@@ -265,6 +287,17 @@ class MemoryController
     bool kickScheduled_ = false;
     Cycle nextKickAt_ = kCycleMax;
 
+    /** Candidates of the pass that last stopped at the horizon, reused
+     * by the resume wake; dropped by kick(). */
+    struct StopPass
+    {
+        bool valid = false;
+        Cycle cm = kCycleMax;
+        Cycle cp = kCycleMax;
+        int memIdx = -1;
+    };
+    StopPass stop_;
+
     /** A job completion produced by process(), fired by wake(). */
     struct Completion
     {
@@ -280,6 +313,8 @@ class MemoryController
     Distribution memQueueDelay_;
     std::uint64_t completedMemJobs_ = 0;
     std::uint64_t completedPimJobs_ = 0;
+    std::uint64_t wakeups_ = 0;
+    std::uint64_t candidateScans_ = 0;
 };
 
 } // namespace neupims::dram

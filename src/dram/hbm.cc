@@ -89,6 +89,24 @@ HbmStack::totalMemSchedStats() const
     return total;
 }
 
+std::uint64_t
+HbmStack::totalWakeups() const
+{
+    std::uint64_t total = 0;
+    for (const auto &c : ctrls_)
+        total += c ? c->wakeups() : 0;
+    return total;
+}
+
+std::uint64_t
+HbmStack::totalCandidateScans() const
+{
+    std::uint64_t total = 0;
+    for (const auto &c : ctrls_)
+        total += c ? c->candidateScans() : 0;
+    return total;
+}
+
 double
 HbmStack::memBankUtilization(Cycle window_start, Cycle window_end) const
 {

@@ -117,6 +117,12 @@ class HbmStack
      * representative's bit-identical values. */
     MemSchedStats totalMemSchedStats() const;
 
+    /** Host work counters (MemoryController::wakeups() and
+     * candidateScans()) summed over the simulated controllers only: a
+     * folded channel does no work of its own. */
+    std::uint64_t totalWakeups() const;
+    std::uint64_t totalCandidateScans() const;
+
     /** Mean MEM-side per-bank data-service fraction over a window:
      * 64 B beats served per bank against the window span. */
     double memBankUtilization(Cycle window_start, Cycle window_end) const;

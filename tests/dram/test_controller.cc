@@ -516,5 +516,32 @@ TEST_F(ControllerTest, CompletionsFireAfterThePassThenResume)
     EXPECT_EQ(queued_since_callbacks, 1u);
 }
 
+TEST_F(ControllerTest, WorkCountersOneScanPerIssuedCommand)
+{
+    // A BM_MemStream-style stream: whole rows round-robin over the
+    // banks, all enqueued at cycle 0. The counters are host-independent,
+    // so this gates the arbitration's work like a golden: a full rescan
+    // on every horizon resume would read 2 scans per issued command.
+    auto mc = make(true);
+    const int rows = 1024;
+    for (int i = 0; i < rows; ++i) {
+        MemJob job;
+        job.bank = i % org.banksPerChannel;
+        job.row = i / org.banksPerChannel;
+        job.bursts = org.burstsPerRow();
+        mc->enqueueMem(std::move(job));
+    }
+    eq.run();
+    ASSERT_TRUE(mc->idle());
+    const auto &s = mc->memSchedStats();
+    std::uint64_t issues = s.memCommands + s.pimCommands;
+    // One ACT and a row of bursts per job, plus the precharges.
+    ASSERT_GE(issues,
+              static_cast<std::uint64_t>(rows) * (1 + org.burstsPerRow()));
+    EXPECT_LE(static_cast<double>(mc->candidateScans()),
+              1.1 * static_cast<double>(issues));
+    EXPECT_LE(mc->wakeups(), issues + static_cast<std::uint64_t>(rows));
+}
+
 } // namespace
 } // namespace neupims::dram

@@ -45,6 +45,35 @@ TEST_F(HbmTest, AggregatesAcrossChannels)
     EXPECT_EQ(counts.count(CommandType::Rd), 12u);
 }
 
+TEST(HbmWorkCounters, SumSimulatedControllersOnly)
+{
+    EventQueue eq;
+    MemConfig cfg;
+    // Channel 1 folds onto channel 0: its traffic is channel 0's,
+    // replayed, and costs no wakeups or scans of its own.
+    auto groups = SymmetryGroups::identity(cfg.org.channels);
+    groups.representative[1] = 0;
+    groups.classSize[0] = groups.classSize[1] = 2;
+    --groups.numClasses;
+    HbmStack hbm(eq, cfg, groups);
+    for (ChannelId ch : {0, 2}) {
+        for (int i = 0; i < 8; ++i) {
+            MemJob job;
+            job.bank = i;
+            job.bursts = 4;
+            hbm.controller(ch).enqueueMem(std::move(job));
+        }
+    }
+    eq.run();
+    const auto &c0 = hbm.controller(0);
+    const auto &c2 = hbm.controller(2);
+    EXPECT_GT(c0.wakeups(), 0u);
+    EXPECT_GT(c0.candidateScans(), 0u);
+    EXPECT_EQ(hbm.totalWakeups(), c0.wakeups() + c2.wakeups());
+    EXPECT_EQ(hbm.totalCandidateScans(),
+              c0.candidateScans() + c2.candidateScans());
+}
+
 TEST_F(HbmTest, IdleReflectsAnyBusyChannel)
 {
     MemJob job;
